@@ -9,11 +9,10 @@ array operations:
   sort keys collide — are preserved exactly);
 * partition construction/refinement via stable argsort / lexsort over rank
   columns, splitting on group boundaries;
-* the LNDS removal-set kernels order *all* equivalence classes of a context
-  with one ``lexsort`` and then run the (inherently sequential) patience
-  step per class through the exact same :mod:`repro.validation.lnds`
-  routines the reference backend uses, so the chosen subsequence — and
-  therefore the removal rows — are identical by construction.
+* the removal-set kernels order *all* classes of a context with one
+  fused-key sort; the batched count and ``g3`` kernels then run their
+  sequential per-class loops in C (:mod:`repro.backend.native`), else
+  loop over the single-candidate NumPy kernels.
 
 Parity contract: every method returns the same values, in the same order,
 with the same early-exit points as :class:`PythonBackend`.  One documented
@@ -30,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import native
 from repro.backend.base import ComputeBackend, EncodedColumn
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
@@ -473,9 +473,7 @@ class NumpyBackend(ComputeBackend):
         those, in class order.  Clean classes contribute zero removals, so
         the count observed at every early-exit check — and therefore the
         exceeded partial — is identical to the reference kernel's
-        class-by-class accumulation.  (This is what makes the per-candidate
-        NumPy schedule competitive: the previous per-class ``np.diff``
-        screening loop drowned small classes in array overhead.)
+        class-by-class accumulation.
         """
         from repro.validation.lnds import lnds_length
 
@@ -484,10 +482,10 @@ class NumpyBackend(ComputeBackend):
         rows, class_ids, lengths = self._columnar_classes(classes)
         if rows.size == 0:
             return 0, False
-        a_values = self.to_native(a_ranks)[rows].astype(np.int64)
-        b_values = self.to_native(b_ranks)[rows].astype(np.int64)
         b_sorted = self._fused_b_sorted(
-            lengths.size, class_ids, a_values, b_values
+            lengths.size, class_ids,
+            self.to_native(a_ranks)[rows].astype(np.int64),
+            self.to_native(b_ranks)[rows].astype(np.int64),
         )
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         viol = np.zeros(b_sorted.size, dtype=bool)
@@ -523,258 +521,80 @@ class NumpyBackend(ComputeBackend):
                                        descending_b=True)
 
     # -- batched removal kernels ------------------------------------------------
+    #
+    # Compiled per-class loops when :mod:`repro.backend.native` is loaded,
+    # else the base-class loop over the kernels above (identical results).
+    # Sorts and gathers stay in NumPy, one candidate at a time.
 
-    #: Dirty segments longer than this bypass the padded patience DP: on one
-    #: huge class the vectorised per-element binary search cannot beat the
-    #: scalar C-level ``bisect`` loop, and the DP's step count is the longest
-    #: segment, so one skewed class would stall every other lane.
-    _DP_MAX_SEGMENT = 2048
-    #: Minimum lanes per padded-DP call; below this the setup cost dominates.
-    _DP_MIN_SEGMENTS = 32
+    def _native_context(self, classes, limit):
+        """``(library, rows, class_ids, lengths, offsets, budget)`` for the
+        compiled kernels, or ``None`` to fall back."""
+        library = native.kernels()
+        if library is None or (limit is not None and limit < 0):
+            return None
+        rows, class_ids, lengths = self._columnar_classes(classes)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)  # passed by pointer
+        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        budget = -1 if limit is None else int(limit)
+        return library, rows, class_ids, lengths, offsets, budget
 
     def oc_optimal_removal_count_batch(
         self, classes, rank_pairs, limit: Optional[int] = None
     ) -> List[Tuple[int, bool]]:
         """Batched Algorithm 2 counts: one shared context, many rank pairs.
 
-        Per pair, one ``lexsort`` orders every class and a single vectorised
-        pass finds the *dirty* classes (those whose ``B`` projection is not
-        already non-decreasing — during discovery the vast majority are
-        clean and contribute nothing).  The dirty segments of **all** pairs
-        are then pushed through the segmented multi-class LNDS kernel
-        together, so the patience step advances every class of every
-        candidate simultaneously instead of looping per class in Python.
+        Per pair a fused-key sort orders every class by ``[A ASC, B ASC]``
+        and the compiled patience loop counts the dirty classes, stopping
+        once the count provably exceeds ``limit`` (pinned to ``limit + 1``).
         """
-        num_pairs = len(rank_pairs)
-        if num_pairs == 0:
-            return []
-        if not len(classes):
-            return [(0, False)] * num_pairs
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return [(0, False)] * num_pairs
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        interior = self._interior_mask(lengths)
-        counts = np.zeros(num_pairs, dtype=np.int64)
-        exceeded = np.zeros(num_pairs, dtype=bool)
-        seg_chunks: List[np.ndarray] = []
-        len_chunks: List[np.ndarray] = []
-        owner_chunks: List[np.ndarray] = []
-        for pair_id, (a_ranks, b_ranks) in enumerate(rank_pairs):
-            a_values = self.to_native(a_ranks)[rows].astype(np.int64)
-            b_values = self.to_native(b_ranks)[rows].astype(np.int64)
+        context = self._native_context(classes, limit)
+        if context is None:
+            return super().oc_optimal_removal_count_batch(classes, rank_pairs, limit)
+        library, rows, class_ids, lengths, offsets, budget = context
+        tails = np.empty(int(lengths.max(initial=0)), dtype=np.int64)
+        results: List[Tuple[int, bool]] = []
+        for a_ranks, b_ranks in rank_pairs:
             b_sorted = self._fused_b_sorted(
-                lengths.size, class_ids, a_values, b_values
+                lengths.size, class_ids,
+                self.to_native(a_ranks)[rows].astype(np.int64),
+                self.to_native(b_ranks)[rows].astype(np.int64),
             )
-            # One pass over all classes: a class is dirty iff it has an
-            # in-class descent (boundary pairs are masked by `interior`).
-            viol = np.zeros(b_sorted.size, dtype=bool)
-            viol[:-1] = (np.diff(b_sorted) < 0) & interior
-            dirty = np.add.reduceat(viol, starts) > 0
-            if not dirty.any():
-                continue
-            seg_chunks.append(b_sorted[np.repeat(dirty, lengths)])
-            dirty_lengths = lengths[dirty]
-            len_chunks.append(dirty_lengths)
-            owner_chunks.append(np.full(dirty_lengths.size, pair_id, dtype=np.int64))
-        if seg_chunks:
-            self._segmented_lnds_counts(
-                np.concatenate(seg_chunks),
-                np.concatenate(len_chunks),
-                np.concatenate(owner_chunks),
-                counts,
-                exceeded,
-                limit,
+            count = library.repro_oc_lnds_count(
+                b_sorted.ctypes.data, offsets.ctypes.data, lengths.size,
+                budget, tails.ctypes.data,
             )
-        return [(int(c), bool(e)) for c, e in zip(counts, exceeded)]
-
-    def _segmented_lnds_counts(
-        self,
-        seg_values: np.ndarray,
-        seg_lengths: np.ndarray,
-        seg_owners: np.ndarray,
-        counts: np.ndarray,
-        exceeded: np.ndarray,
-        limit: Optional[int],
-    ) -> None:
-        """Removal counts for many dirty segments, accumulated per owner.
-
-        ``seg_values`` concatenates the ``[A ASC, B ASC]``-sorted ``B``
-        projections of every dirty segment; ``seg_lengths`` / ``seg_owners``
-        describe them.  ``length - LNDS(length)`` is added into ``counts``
-        indexed by owner.  Once an owner provably exceeds ``limit`` its
-        ``exceeded`` flag is set, its count is pinned to ``limit + 1`` and
-        its remaining segments are abandoned (see the contract in base.py).
-
-        Segments are bucketed by length magnitude: short, numerous buckets
-        run through the padded multi-lane patience DP; long or lonely ones
-        fall back to the scalar ``bisect`` loop, which wins on big classes.
-        Ascending bucket order lets cheap segments trigger the early exit
-        before any expensive lane starts.
-        """
-        from repro.validation.lnds import lnds_length
-
-        offsets = np.concatenate(([0], np.cumsum(seg_lengths)))
-        # frexp's exponent is the bit length, i.e. the power-of-two bucket;
-        # within a bucket max/min length differ by at most 2x, so no lane
-        # idles through a long tail of steps sized by one skewed segment.
-        buckets = np.frexp(seg_lengths.astype(np.float64))[1]
-        for bucket in np.unique(buckets):
-            members = np.nonzero(buckets == bucket)[0]
-            members = members[~exceeded[seg_owners[members]]]
-            if members.size == 0:
-                continue
-            max_len = int(seg_lengths[members].max())
-            if members.size >= self._DP_MIN_SEGMENTS and max_len <= self._DP_MAX_SEGMENT:
-                self._padded_patience_counts(
-                    seg_values, offsets, members, seg_lengths, seg_owners,
-                    counts, exceeded, limit,
-                )
-            else:
-                for i in members:
-                    owner = seg_owners[i]
-                    if exceeded[owner]:
-                        continue
-                    values = seg_values[offsets[i]:offsets[i + 1]].tolist()
-                    counts[owner] += len(values) - lnds_length(values)
-                    if limit is not None and counts[owner] > limit:
-                        exceeded[owner] = True
-        if limit is not None:
-            exceeded |= counts > limit
-
-    def _padded_patience_counts(
-        self,
-        seg_values: np.ndarray,
-        offsets: np.ndarray,
-        members: np.ndarray,
-        seg_lengths: np.ndarray,
-        seg_owners: np.ndarray,
-        counts: np.ndarray,
-        exceeded: np.ndarray,
-        limit: Optional[int],
-    ) -> None:
-        """One patience pass advancing all member segments simultaneously.
-
-        Lane ``i`` holds one segment; at step ``t`` every active lane
-        inserts its ``t``-th value into its tails row via a vectorised
-        right-bisect, so the Python-level iteration count is the longest
-        segment length instead of the total element count.
-        """
-        lengths = seg_lengths[members].astype(np.int64)
-        owners = seg_owners[members]
-        num = members.size
-        max_len = int(lengths.max())
-        total = int(lengths.sum())
-        lane_idx = np.repeat(np.arange(num, dtype=np.int64), lengths)
-        first = np.cumsum(lengths) - lengths
-        col_idx = np.arange(total, dtype=np.int64) - np.repeat(first, lengths)
-        flat = np.repeat(offsets[members], lengths) + col_idx
-        padded = np.zeros((num, max_len), dtype=np.int64)
-        padded[lane_idx, col_idx] = seg_values[flat]
-        sentinel = np.iinfo(np.int64).max
-        tails = np.full((num, max_len), sentinel, dtype=np.int64)
-        tail_len = np.zeros(num, dtype=np.int64)
-        alive = np.ones(num, dtype=bool)
-        for t in range(max_len):
-            act = np.nonzero(alive & (lengths > t))[0]
-            if act.size == 0:
-                break
-            v = padded[act, t]
-            # Vectorised bisect_right over each lane's tails[0:tail_len):
-            # first position whose tail is strictly greater than v.
-            lo = np.zeros(act.size, dtype=np.int64)
-            hi = tail_len[act].copy()
-            while True:
-                open_ = lo < hi
-                if not open_.any():
-                    break
-                mid = (lo + hi) >> 1
-                right = open_ & (tails[act, np.minimum(mid, max_len - 1)] <= v)
-                lo = np.where(right, mid + 1, lo)
-                hi = np.where(open_ & ~right, mid, hi)
-            tails[act, lo] = v
-            tail_len[act] = np.maximum(tail_len[act], lo + 1)
-            if limit is not None:
-                # Lower bound on each lane's final removals: of the t+1
-                # values consumed, at most tail_len are on any LNDS.  Owners
-                # whose accumulated bound crosses the budget are certainly
-                # invalid — retire all their lanes now.
-                bound = np.minimum(lengths, t + 1) - tail_len
-                pending = np.bincount(
-                    owners[alive], weights=bound[alive], minlength=counts.size
-                ).astype(np.int64)
-                over = (counts + pending > limit) & ~exceeded
-                if over.any():
-                    exceeded |= over
-                    counts[over] = limit + 1
-                    alive &= ~exceeded[owners]
-        if alive.any():
-            removals = (lengths - tail_len)[alive]
-            counts += np.bincount(
-                owners[alive], weights=removals, minlength=counts.size
-            ).astype(np.int64)
+            results.append((count, limit is not None and count > limit))
+        return results
 
     def ofd_removal_batch(
         self, classes, rhs_ranks, limit: Optional[int] = None
     ) -> List[Tuple[List[int], bool]]:
         """Batched ``g3`` kernel: one shared context, many RHS columns.
 
-        All RHS columns are stacked into one ``(num_rhs, total)`` value
-        matrix and the per-class most-frequent-value selection (with the
-        reference first-occurrence tie-break) runs over every column at
-        once; only the final per-column row extraction loops in Python.
+        Per column the compiled loop keeps each class's most frequent value
+        (first occurrence breaks ties, like ``Counter.most_common``) and
+        returns the reference's exact rows and truncation point.
         """
-        num_rhs = len(rhs_ranks)
-        if num_rhs == 0:
-            return []
-        if not len(classes):
-            return [([], False)] * num_rhs
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return [([], False)] * num_rhs
-        total = rows.size
-        num_classes = lengths.size
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        stacked = np.stack([self.to_native(ranks) for ranks in rhs_ranks])
-        values = stacked[:, rows].astype(np.int64)
-        base = int(values.max()) + 1 if values.size else 1
-        # Distinct (rhs, class, value) triples get distinct keys, so one
-        # np.unique counts the frequencies of every column's class/value
-        # combinations in a single sort.
-        keys = (
-            class_ids + np.arange(num_rhs, dtype=np.int64)[:, None] * num_classes
-        ) * base + values
-        _, inverse, key_counts = np.unique(
-            keys.ravel(), return_inverse=True, return_counts=True
-        )
-        flat_counts = key_counts[inverse.reshape(-1)]
-        flat_starts = (
-            np.arange(num_rhs, dtype=np.int64)[:, None] * total + starts[None, :]
-        ).ravel()
-        lengths_tiled = np.tile(lengths, num_rhs)
-        class_max = np.maximum.reduceat(flat_counts, flat_starts)
-        positions = np.tile(np.arange(total, dtype=np.int64), num_rhs)
-        candidates = np.where(
-            flat_counts == np.repeat(class_max, lengths_tiled), positions, total
-        )
-        first_best = np.minimum.reduceat(candidates, flat_starts)
-        keep_values = values[
-            np.repeat(np.arange(num_rhs, dtype=np.int64), num_classes), first_best
-        ]
-        removal_mask = (
-            values.ravel() != np.repeat(keep_values, lengths_tiled)
-        ).reshape(num_rhs, total)
+        context = self._native_context(classes, limit)
+        if context is None:
+            return super().ofd_removal_batch(classes, rhs_ranks, limit)
+        library, rows, _, lengths, offsets, budget = context
+        out = np.empty(rows.size, dtype=np.int64)
+        freq = np.zeros(0, dtype=np.int64)
         results: List[Tuple[List[int], bool]] = []
-        for r in range(num_rhs):
-            mask = removal_mask[r]
-            removed_per_class = np.add.reduceat(mask.astype(np.int64), starts)
-            cumulative = np.cumsum(removed_per_class)
-            if limit is not None and cumulative[-1] > int(limit):
-                crossing = int(np.argmax(cumulative > int(limit)))
-                cut = int(starts[crossing] + lengths[crossing])
-                results.append((rows[:cut][mask[:cut]].tolist(), True))
-            else:
-                results.append((rows[mask].tolist(), False))
+        for ranks in rhs_ranks:
+            values = np.ascontiguousarray(self.to_native(ranks)[rows], dtype=np.int32)
+            if values.min(initial=0) < 0:  # the scratch array is indexed by rank
+                raise ValueError("rank columns must be non-negative")
+            top = int(values.max(initial=0))
+            if top >= freq.size:
+                freq = np.zeros(top + 1, dtype=np.int64)
+            written = library.repro_ofd_g3_rows(
+                values.ctypes.data, rows.ctypes.data, offsets.ctypes.data,
+                lengths.size, budget, freq.ctypes.data, out.ctypes.data,
+            )
+            over = limit is not None and written > limit
+            results.append((out[:written].tolist(), over))
         return results
 
     def ofd_removal_rows(

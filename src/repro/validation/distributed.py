@@ -492,6 +492,10 @@ def _plane_worker_main(task_queue, result_queue, backend, fault=None) -> None:
             drop_result = exit_after = False
             if fault is not None:
                 if fault.exit_before_job == ordinal:
+                    # Flush the previous job's result first: exiting with it
+                    # still in the feeder thread can lose or truncate it.
+                    result_queue.close()
+                    result_queue.join_thread()
                     os._exit(_FAULT_EXIT_CODE)
                 drop_result = fault.drop_result_for_job == ordinal
                 exit_after = fault.exit_after_job == ordinal

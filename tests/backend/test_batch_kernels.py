@@ -4,14 +4,16 @@ The batch kernels (``oc_optimal_removal_count_batch`` / ``ofd_removal_batch``)
 must honour the contract documented in ``repro.backend.base``: entry ``i``
 aligns with input ``i``, the ``exceeded`` flag is exact, and whenever a
 candidate does not exceed the limit its count/rows are byte-identical to the
-single-candidate kernels — across both backends.  The segmented multi-class
-LNDS kernel is additionally checked against the quadratic oracle through the
-padded-DP code path (many short segments at once).
+single-candidate kernels — across both backends.  The NumPy backend's
+compiled kernels (``repro.backend.native``) and its NumPy fallback are both
+checked against the python reference and the quadratic LNDS oracle, on
+generated instances and on fixed edge cases (``TestNativeKernels``).
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend import get_backend
 from repro.validation.lnds import lnds_length_quadratic
@@ -93,8 +95,8 @@ class TestOcCountBatch:
                 [], [(a, a), (a, a)], 3
             ) == [(0, False), (0, False)]
 
-    def test_padded_dp_path_matches_oracle(self):
-        """Many short disjoint segments force the padded multi-lane DP."""
+    def test_many_short_segments_match_oracle(self):
+        """Hundreds of short dirty classes in one context."""
         rng = random.Random(5)
         backend = get_backend("numpy")
         n, width = 3000, 8
@@ -122,8 +124,8 @@ class TestOcCountBatch:
         )
         assert over and count > expected - 1
 
-    def test_mixed_segment_sizes_route_both_paths(self):
-        """One huge class (scalar fallback) plus many small ones (DP)."""
+    def test_mixed_segment_sizes_match_reference(self):
+        """One huge dirty class beside many small ones."""
         rng = random.Random(21)
         backend = get_backend("numpy")
         big = list(range(4000))
@@ -220,3 +222,135 @@ class TestOfdRemovalBatch:
             assert backend.ofd_removal_batch([], [], None) == []
             ranks = backend.to_native([0, 0, 1])
             assert backend.ofd_removal_batch([], [ranks], 1) == [([], False)]
+
+
+@st.composite
+def _kernel_instances(draw):
+    """A context (classes over ``n`` rows, singletons stripped) plus rank
+    columns drawn from a small value range so ties and descents are common."""
+    n = draw(st.integers(0, 60))
+    perm = draw(st.permutations(range(n)))
+    classes, i = [], 0
+    while i < n:
+        size = draw(st.integers(1, 12))
+        if size >= 2 and i + size <= n:
+            classes.append(sorted(perm[i:i + size]))
+        i += size
+    span = draw(st.integers(1, 8))
+    column = st.lists(st.integers(0, span), min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(column, column), min_size=1, max_size=4))
+    limit = draw(st.one_of(st.none(), st.integers(0, n)))
+    return classes, pairs, limit
+
+
+class TestNativeKernels:
+    """The NumPy batch kernels, compiled and fallback, against the python
+    reference: exact ``exceeded`` flags, and byte-identical counts/rows
+    whenever a candidate stays within the budget."""
+
+    @staticmethod
+    def _check_oc(classes, pairs, limit):
+        py, nq = get_backend("python"), get_backend("numpy")
+        ref = py.oc_optimal_removal_count_batch(classes, pairs, limit)
+        got = nq.oc_optimal_removal_count_batch(
+            classes, _native_pairs(nq, pairs), limit
+        )
+        assert len(got) == len(ref)
+        for (ref_count, ref_over), (count, over) in zip(ref, got):
+            assert type(count) is int and type(over) is bool
+            assert over == ref_over
+            if over:
+                assert count > limit
+            else:
+                assert count == ref_count
+        return got
+
+    @staticmethod
+    def _check_ofd(classes, columns, limit):
+        py, nq = get_backend("python"), get_backend("numpy")
+        ref = py.ofd_removal_batch(classes, columns, limit)
+        got = nq.ofd_removal_batch(
+            classes, [nq.to_native(c) for c in columns], limit
+        )
+        assert got == ref
+        for rows, over in got:
+            assert type(over) is bool
+            assert all(type(row) is int for row in rows)
+        return got
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(instance=_kernel_instances())
+    def test_generated_instances(self, native_mode, instance):
+        classes, pairs, limit = instance
+        self._check_oc(classes, pairs, limit)
+        self._check_ofd(classes, [b for _, b in pairs], limit)
+
+    def test_limit_boundaries(self, native_mode):
+        rng = random.Random(17)
+        n = 400
+        classes = [list(range(i, i + 8)) for i in range(0, n, 8)]
+        a = list(range(n))
+        b = [rng.randrange(0, 5) for _ in range(n)]
+        (total, over), = self._check_oc(classes, [(a, b)], None)
+        assert not over and total > 1
+        assert self._check_oc(classes, [(a, b)], total) == [(total, False)]
+        (count, over), = self._check_oc(classes, [(a, b)], total - 1)
+        assert over and count > total - 1
+        (count, over), = self._check_oc(classes, [(a, b)], 0)
+        assert over and count > 0
+        removed, over = self._check_ofd(classes, [b], None)[0]
+        assert not over
+        assert self._check_ofd(classes, [b], len(removed)) == [(removed, False)]
+        assert self._check_ofd(classes, [b], len(removed) - 1)[0][1]
+        assert self._check_ofd(classes, [b], 0)[0][1]
+
+    def test_one_long_dirty_class(self, native_mode):
+        """A single class longer than 2048 rows, against the oracle."""
+        rng = random.Random(8)
+        n = 5000
+        a = [rng.randrange(0, 50) for _ in range(n)]
+        b = [rng.randrange(0, 50) for _ in range(n)]
+        classes = [list(range(n))]
+        (count, over), = self._check_oc(classes, [(a, b)], None)
+        ordered = [b[row] for row in sorted(range(n), key=lambda r: (a[r], b[r]))]
+        assert not over
+        assert count == n - lnds_length_quadratic(ordered)
+        self._check_oc(classes, [(a, b)], count - 1)
+        self._check_ofd(classes, [b], None)
+        self._check_ofd(classes, [b], 100)
+
+    def test_equal_decreasing_and_two_row_classes(self, native_mode):
+        n = 12
+        classes = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9], [10, 11]]
+        a = list(range(n))
+        b = [3, 3, 3, 3, 9, 7, 5, 1, 2, 1, 1, 2]
+        # all-equal: 0, strictly decreasing: 3, descending pair: 1, clean pair: 0
+        assert self._check_oc(classes, [(a, b)], None) == [(4, False)]
+        for limit in (0, 3, 4):
+            self._check_oc(classes, [(a, b)], limit)
+        for limit in (None, 0, 3, 4):
+            self._check_ofd(classes, [b], limit)
+
+    def test_empty_contexts(self, native_mode):
+        nq = get_backend("numpy")
+        ranks = nq.to_native([0, 1, 2, 3])
+        no_groups = nq.partition_single(ranks, 4)  # all rows are singletons
+        assert len(no_groups) == 0 and no_groups.num_rows == 4
+        for classes in ([], no_groups):
+            assert nq.oc_optimal_removal_count_batch(
+                classes, [(ranks, ranks)], 0
+            ) == [(0, False)]
+            assert nq.ofd_removal_batch(classes, [ranks], 0) == [([], False)]
+        self._check_oc([], [([0, 1], [1, 0])], None)
+        self._check_ofd([], [[0, 1]], None)
+
+    def test_ofd_ties_go_to_first_occurrence(self, native_mode):
+        classes = [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
+        values = [1, 2, 2, 1, 5, 3, 3, 5, 7]
+        removed = self._check_ofd(classes, [values], None)
+        # class 1 keeps 1 (seen before 2), class 2 keeps 5 (seen before 3)
+        assert removed == [([1, 2, 5, 6, 8], False)]
