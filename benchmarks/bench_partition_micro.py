@@ -5,9 +5,12 @@ construction, partition products and ``PartitionCache.apply_delta`` are
 timed per backend, and the NumPy product is additionally raced against the
 *seed* list-of-lists path (lexsort followed by per-class ``tolist()``
 materialisation plus the normalising list constructor — exactly what
-``_split_segments`` used to do).  The ``partition`` record merged into
-``benchmarks/results/BENCH_discovery.json`` carries the timings and the
-``product_speedup_vs_list`` ratio the CI smoke job checks.
+``_split_segments`` used to do).  NumPy ``partition_refine`` is timed with
+the compiled kernel and with ``REPRO_NATIVE=0`` (identical output
+asserted).  The ``partition`` record merged into
+``benchmarks/results/BENCH_discovery.json`` carries the timings, the
+``product_speedup_vs_list`` ratio and the ``refine_s`` pair the CI smoke
+job checks.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends, get_backend, native
 from repro.benchlib.harness import time_best_of
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.partition import Partition, PartitionCache
@@ -144,6 +147,38 @@ def test_partition_product(workload, backend_name):
                 backend.partition_product(singles[a], singles[b])
 
 
+@pytest.mark.skipif("numpy" not in BACKENDS, reason="needs the numpy backend")
+def test_partition_refine(workload, monkeypatch):
+    """``partition_refine`` through the compiled kernel and through the
+    NumPy lexsort fallback (``REPRO_NATIVE=0``): identical partitions."""
+    base, _ = workload
+    backend = get_backend("numpy")
+    encoded = base.encoded(backend)
+    singles = _singles(backend, encoded)
+    columns = [encoded.native_ranks_by_index(i) for i in range(NUM_ATTRIBUTES)]
+    pairs = list(combinations(range(NUM_ATTRIBUTES), 2))
+
+    def refines():
+        return [backend.partition_refine(singles[a], columns[b]) for a, b in pairs]
+
+    timings, outputs = {}, {}
+    for mode in ("native", "fallback"):
+        if mode == "native":
+            monkeypatch.delenv(native.ENV_VAR, raising=False)
+            if native.kernels() is None:
+                continue
+        else:
+            monkeypatch.setenv(native.ENV_VAR, "0")
+        outputs[mode] = [
+            (p.row_indices.tobytes(), p.class_offsets.tobytes()) for p in refines()
+        ]
+        timings[mode] = round(time_best_of(refines, REPEATS), 5)
+    if "native" in outputs:
+        assert outputs["native"] == outputs["fallback"]
+    BASELINE["refine_s"] = {"native": timings.get("native"),
+                            "fallback": timings["fallback"]}
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_partition_apply_delta(workload, backend_name):
     base, delta = workload
@@ -215,5 +250,7 @@ def _report(figure_report):
             f"numpy product vs seed list-of-lists baseline: "
             f"{BASELINE.get('product_speedup_vs_list')}x "
             f"(baseline {BASELINE.get('numpy_product_list_baseline_s')}s)",
+            f"numpy refine, compiled vs REPRO_NATIVE=0 (s): "
+            f"{BASELINE.get('refine_s')}",
         ],
     )

@@ -1,4 +1,5 @@
-"""Compiled validation kernels (``_kernels.c``), built on first use.
+"""Compiled partition and validation kernels (``_kernels.c``), built on
+first use.
 
 :func:`kernels` compiles the source with ``$CC`` (else ``cc``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, else a per-user temp
@@ -102,5 +103,9 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     library.repro_oc_lnds_count.argtypes = [ptr, ptr, i64, i64, ptr]
     library.repro_ofd_g3_rows.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
-    library.repro_oc_lnds_count.restype = library.repro_ofd_g3_rows.restype = i64
+    library.repro_partition_refine.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
+    library.repro_oc_holds_batch.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
+    for kernel in (library.repro_oc_lnds_count, library.repro_ofd_g3_rows,
+                   library.repro_partition_refine, library.repro_oc_holds_batch):
+        kernel.restype = i64
     return library

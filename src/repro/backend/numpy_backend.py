@@ -7,12 +7,14 @@ array operations:
   columns (dirty mixed-type columns fall back to the reference encoder, so
   the semantics — including first-appearance tie-breaks for values whose
   sort keys collide — are preserved exactly);
-* partition construction/refinement via stable argsort / lexsort over rank
-  columns, splitting on group boundaries;
+* partition construction via stable argsort / lexsort over rank columns,
+  splitting on group boundaries; refinement is a compiled walk over the
+  CSR arrays (:mod:`repro.backend.native`), else a lexsort;
 * the removal-set kernels order *all* classes of a context with one
   fused-key sort; the batched count and ``g3`` kernels then run their
-  sequential per-class loops in C (:mod:`repro.backend.native`), else
-  loop over the single-candidate NumPy kernels.
+  sequential per-class loops in C, else loop over the single-candidate
+  NumPy kernels; the batched exact OC check sorts and scans every class
+  of every pair in one compiled call, else runs the fused-key sort.
 
 Parity contract: every method returns the same values, in the same order,
 with the same early-exit points as :class:`PythonBackend`.  One documented
@@ -47,6 +49,21 @@ def _empty_partition(num_rows: int) -> Partition:
     return Partition.from_csr(
         np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), num_rows
     )
+
+
+def _csr_arrays(classes) -> Tuple[np.ndarray, np.ndarray]:
+    """Contiguous ``int64`` ``(rows, offsets)`` of a class container, for
+    the compiled kernels; a :class:`Partition` hands over its own."""
+    if isinstance(classes, Partition):
+        rows, offsets = classes.row_indices, classes.class_offsets
+    else:
+        rows, _, lengths = NumpyBackend._columnar_classes(classes)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != rows.size:
+        raise ValueError("class offsets do not span the row array")
+    return rows, offsets
 
 
 class NumpyBackend(ComputeBackend):
@@ -183,11 +200,39 @@ class NumpyBackend(ComputeBackend):
         ranks = self.to_native(native_ranks)
         if partition.num_classes == 0:
             return _empty_partition(partition.num_rows)
+        library = native.kernels()
+        if library is not None:
+            return self._native_refine(library, partition, ranks)
         rows, class_ids, _ = self._columnar_classes(partition)
         values = ranks[rows].astype(np.int64)
         order = np.lexsort((values, class_ids))
         return self._csr_partition(
             rows[order], (class_ids[order], values[order]), partition.num_rows
+        )
+
+    @staticmethod
+    def _native_refine(library, partition: Partition, ranks) -> Partition:
+        """Compiled refinement: one walk over the CSR arrays, no sort."""
+        rows, offsets = _csr_arrays(partition)
+        column = np.ascontiguousarray(ranks, dtype=np.int32)
+        out_rows = np.empty(rows.size, dtype=np.int64)
+        out_offsets = np.empty(rows.size // 2 + 1, dtype=np.int64)
+        num_classes = library.repro_partition_refine(
+            rows.ctypes.data, offsets.ctypes.data, offsets.size - 1,
+            column.ctypes.data, column.size, int(column.max(initial=0)) + 1,
+            out_rows.ctypes.data, out_offsets.ctypes.data,
+        )
+        if num_classes == -1:  # the scratch array is indexed by rank
+            raise ValueError("rank columns must be non-negative")
+        if num_classes == -2:
+            raise IndexError("the rank column does not cover the partition's rows")
+        if num_classes < 0:
+            raise MemoryError("partition refinement scratch")
+        if num_classes == 0:
+            return _empty_partition(partition.num_rows)
+        out_offsets = out_offsets[:num_classes + 1].copy()
+        return Partition.from_csr(
+            out_rows[:out_offsets[-1]].copy(), out_offsets, partition.num_rows
         )
 
     def partition_product(self, left: Partition, right: Partition) -> Partition:
@@ -381,6 +426,9 @@ class NumpyBackend(ComputeBackend):
             return []
         if not len(classes):
             return [True] * num_pairs
+        library = native.kernels()
+        if library is not None:
+            return self._native_holds_batch(library, classes, rank_pairs)
         rows, class_ids, lengths = self._columnar_classes(classes)
         if rows.size == 0:
             return [True] * num_pairs
@@ -395,6 +443,40 @@ class NumpyBackend(ComputeBackend):
             results.append(bool(np.all(np.diff(b_sorted)[interior] >= 0)))
         return results
 
+    def _native_holds_batch(self, library, classes, rank_pairs) -> List[bool]:
+        """One compiled call checks every pair: per class a packed
+        ``(A << 32) | B`` key sort, stopping at the first swap."""
+        rows, offsets = _csr_arrays(classes)
+        if rows.size == 0:
+            return [True] * len(rank_pairs)
+        last_row = int(rows.max())
+        columns: List[np.ndarray] = []
+        slots = {}  # pairs share columns: convert and address each once
+
+        def slot(ranks) -> int:
+            index = slots.get(id(ranks))
+            if index is None:
+                column = np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
+                if column.size <= last_row:
+                    raise IndexError("a rank column does not cover the context's rows")
+                index = slots[id(ranks)] = len(columns)
+                columns.append(column)
+            return index
+
+        pairs = np.array(
+            [(slot(a), slot(b)) for a, b in rank_pairs], dtype=np.int64
+        )
+        addresses = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
+        keys = np.empty(rows.size, dtype=np.uint64)
+        out = np.empty(len(rank_pairs), dtype=np.int8)
+        if library.repro_oc_holds_batch(
+            rows.ctypes.data, offsets.ctypes.data, offsets.size - 1,
+            addresses.ctypes.data, pairs.ctypes.data, len(rank_pairs),
+            keys.ctypes.data, out.ctypes.data,
+        ) < 0:
+            raise ValueError("rank columns must be non-negative")
+        return out.view(bool).tolist()
+
     def ofd_holds_batch(self, classes, rhs_ranks) -> List[bool]:
         """Batched exact OFD checks: one shared context, many RHS columns.
 
@@ -406,7 +488,11 @@ class NumpyBackend(ComputeBackend):
             return []
         if not len(classes):
             return [True] * num_rhs
-        rows, _, lengths = self._columnar_classes(classes)
+        # The CSR arrays, not the columnar view: with the compiled kernels
+        # nothing else in exact discovery needs a partition's class ids, so
+        # cached partitions never grow that per-row array.
+        rows, offsets = _csr_arrays(classes)
+        lengths = np.diff(offsets)
         if rows.size < 2:
             return [True] * num_rhs
         # Gather each column down to the grouped rows *before* stacking:

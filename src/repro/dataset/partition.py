@@ -691,14 +691,18 @@ class PartitionCache:
             return self._backend.partition_single(
                 self._native_ranks(index), self._encoded.num_rows
             )
-        # Prefer extending the largest cached proper subset; fall back to
-        # refining attribute by attribute.
-        best_subset: Optional[FrozenSet[int]] = None
-        for cached_key in self._cache:
-            if cached_key < key and (
-                best_subset is None or len(cached_key) > len(best_subset)
-            ):
-                best_subset = cached_key
+        # Prefer one refinement from a cached immediate subset; else extend
+        # the largest cached proper subset; else refine attribute by
+        # attribute.
+        best_subset = next(
+            (key - {i} for i in sorted(key) if key - {i} in self._cache), None
+        )
+        if best_subset is None:
+            for cached_key in self._cache:
+                if cached_key < key and (
+                    best_subset is None or len(cached_key) > len(best_subset)
+                ):
+                    best_subset = cached_key
         if best_subset is None:
             ordered = sorted(key)
             partition = self.get(ordered[:1])
@@ -721,9 +725,12 @@ class PartitionCache:
     def evict_level(self, level: int) -> None:
         """Drop cached partitions of attribute sets smaller than ``level``.
 
-        The level-wise traversal only ever needs partitions from the two
-        most recent levels; evicting older entries bounds memory on wide
-        schemas, matching the original implementations.
+        Sets of size ``level`` and larger stay.  The engine calls
+        ``evict_level(L - 2)`` after level ``L``: level ``L + 1``'s contexts
+        (sizes ``L`` and ``L - 1``) are then each one refinement away from a
+        retained subset (sizes ``L - 1`` and ``L - 2``), so the two most
+        recent levels of contexts are kept.  Evicting older entries bounds
+        memory on wide schemas, matching the original implementations.
         """
         for key in [k for k in self._cache if 0 < len(k) < level]:
             del self._cache[key]

@@ -533,7 +533,10 @@ class DiscoveryEngine:
                 self._tracer.end_span(level_span)
                 self._level_span = None
             if self._owns_partitions:
-                self.partitions.evict_level(level - 1)
+                # Level L + 1 validates OFDs over contexts of size L and OCs
+                # over contexts of size L - 1; each is refined from a cached
+                # subset one smaller, so sizes L - 1 and L - 2 stay.
+                self.partitions.evict_level(level - 2)
             current = next_level
             level += 1
 

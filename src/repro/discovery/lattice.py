@@ -16,7 +16,8 @@ pruning that lets AOD discovery outrun exact OD discovery in Exp-5.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 AttributeSet = FrozenSet[str]
@@ -104,23 +105,24 @@ def candidate_oc_pairs(
     At level 2 the condition is vacuous, so every pair of the node is a
     candidate; at higher levels a pair survives only if no smaller context
     already validated it (minimality) or pruned it (axioms).
+
+    Predecessor ``X \\ {C}`` can only hold pairs without ``C``, so a pair
+    meets the condition exactly when ``|X| - 2`` predecessors hold it:
+    counting memberships avoids building a set per pair per predecessor.
     """
     level = len(node_attributes)
-    pairs: Set[AttributePair] = set()
-    for a, b in combinations(sorted(node_attributes), 2):
-        pair = frozenset({a, b})
-        if level == 2:
-            pairs.add(pair)
-            continue
-        keep = True
-        for c in node_attributes - pair:
-            predecessor = previous_level.get(node_attributes - {c})
-            if predecessor is None or pair not in predecessor.oc_candidates:
-                keep = False
-                break
-        if keep:
-            pairs.add(pair)
-    return pairs
+    if level == 2:
+        return {frozenset(node_attributes)}
+    counts = Counter(
+        chain.from_iterable(
+            predecessor.oc_candidates
+            for predecessor in (
+                previous_level.get(node_attributes - {c}) for c in node_attributes
+            )
+            if predecessor is not None
+        )
+    )
+    return {pair for pair, count in counts.items() if count == level - 2}
 
 
 def generate_next_level_sets(

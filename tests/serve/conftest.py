@@ -7,7 +7,7 @@ from repro.dataset.generators import generate_random_table
 
 @pytest.fixture(scope="session")
 def slow_relation():
-    """A table whose discovery takes long enough (~1.5s with the compiled
+    """A table whose discovery takes long enough (~1.1s with the compiled
     kernels) to observe queueing, deadlines, and cancellation mid-run —
     longer than the HTTP server's 0.5s shutdown poll."""
     return generate_random_table(3000, 10, cardinality=8, seed=1)
