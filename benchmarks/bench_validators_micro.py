@@ -12,12 +12,23 @@ size while the optimal validator stays within a small factor of the exact
 check.  The workload is a planted-AOC table whose approximation factor is
 exactly the 10% default threshold, i.e. the regime where the iterative
 validator does maximal work.
+
+``test_oc_lnds_batch`` times the batched Algorithm 2 count
+(``oc_optimal_removal_count_batch``, one context, every attribute pair)
+with the compiled kernel and with ``REPRO_NATIVE=0`` (identical results
+asserted) and merges the ``oc_lnds_batch_s`` pair into the ``validators``
+record of ``results/BENCH_discovery.json``, which the CI smoke job checks.
 """
+
+import json
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from repro.backend import available_backends
-from repro.dataset.generators import generate_planted_oc_table
+from repro.backend import available_backends, get_backend, native
+from repro.benchlib.harness import time_best_of
+from repro.dataset.generators import generate_flight_like, generate_planted_oc_table
 from repro.dependencies.oc import CanonicalOC
 from repro.validation.approx_oc_iterative import validate_aoc_iterative
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
@@ -32,6 +43,9 @@ RESULTS = {"exact": {}, "optimal": {}, "iterative": {}}
 # which is where the columnar backend's vectorisation pays off the most.
 BACKEND_COLD = {name: {} for name in BACKENDS}
 BACKEND_EXACT = {name: {} for name in BACKENDS}
+#: merged into BENCH_discovery.json as the ``validators`` record
+BATCH = {}
+BATCH_ROWS = 8000
 
 
 def _workload(num_rows):
@@ -109,9 +123,68 @@ def test_exact_validator_backends_warm(benchmark, backend, num_rows):
     assert not result.is_valid
 
 
+@pytest.mark.skipif("numpy" not in BACKENDS, reason="needs the numpy backend")
+def test_oc_lnds_batch(benchmark, monkeypatch):
+    """One context batch of Algorithm 2 counts at the 10% budget: every
+    ordered pair of seven flight-like attributes within the classes of the
+    eighth, compiled and ``REPRO_NATIVE=0``."""
+    backend = get_backend("numpy")
+    encoded = generate_flight_like(
+        BATCH_ROWS, num_attributes=8, seed=3
+    ).relation.encoded(backend)
+    context = backend.partition_single(encoded.native_ranks_by_index(0), BATCH_ROWS)
+    pairs = [
+        (encoded.native_ranks_by_index(a), encoded.native_ranks_by_index(b))
+        for a, b in permutations(range(1, 8), 2)
+    ]
+    limit = BATCH_ROWS // 10
+
+    def batch():
+        return backend.oc_optimal_removal_count_batch(context, pairs, limit)
+
+    modes = ["fallback"]
+    if native.kernels() is not None:
+        modes.insert(0, "native")
+    timings, outputs = {}, {}
+    for mode in modes:
+        if mode == "native":
+            monkeypatch.delenv(native.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(native.ENV_VAR, "0")
+        full = backend.oc_optimal_removal_count_batch(context, pairs, None)
+        # Over budget, a batch only promises *some* count above the limit.
+        budgeted = [(over, None if over else count) for count, over in batch()]
+        outputs[mode] = (full, budgeted)
+        if mode == modes[0]:  # pytest-benchmark times the first mode
+            benchmark.pedantic(batch, rounds=5, iterations=1)
+            seconds = benchmark.stats.stats.min
+        else:
+            seconds = time_best_of(batch, 5)
+        timings[mode] = round(seconds, 5)
+    if "native" in outputs:
+        assert outputs["native"] == outputs["fallback"]
+    BATCH.update(
+        rows=BATCH_ROWS, pairs=len(pairs), limit=limit,
+        oc_lnds_batch_s={"native": timings.get("native"),
+                         "fallback": timings["fallback"]},
+    )
+
+
+def _write_batch_record():
+    path = Path(__file__).parent / "results" / "BENCH_discovery.json"
+    path.parent.mkdir(exist_ok=True)
+    payload = {}
+    if path.exists():
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["validators"] = dict(BATCH)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _render(figure_report):
     yield
+    if BATCH:
+        _write_batch_record()
     _render_backend_comparison(figure_report)
     sizes = [s for s in SIZES if s in RESULTS["optimal"]]
     if not sizes:

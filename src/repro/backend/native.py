@@ -101,11 +101,13 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     import ctypes
 
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    library.repro_oc_lnds_count.argtypes = [ptr, ptr, i64, i64, ptr]
-    library.repro_ofd_g3_rows.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
+    library.repro_ofd_g3_rows.argtypes = [ptr, ptr, ptr, i64, i64, ptr, i64, ptr]
     library.repro_partition_refine.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
     library.repro_oc_holds_batch.argtypes = [ptr, ptr, i64, ptr, ptr, i64, ptr, ptr]
-    for kernel in (library.repro_oc_lnds_count, library.repro_ofd_g3_rows,
-                   library.repro_partition_refine, library.repro_oc_holds_batch):
+    library.repro_oc_lnds_count_batch.argtypes = [
+        ptr, ptr, i64, ptr, ptr, i64, i64, ptr, ptr, ptr]
+    for kernel in (library.repro_ofd_g3_rows, library.repro_partition_refine,
+                   library.repro_oc_holds_batch,
+                   library.repro_oc_lnds_count_batch):
         kernel.restype = i64
     return library

@@ -10,11 +10,12 @@ array operations:
 * partition construction via stable argsort / lexsort over rank columns,
   splitting on group boundaries; refinement is a compiled walk over the
   CSR arrays (:mod:`repro.backend.native`), else a lexsort;
-* the removal-set kernels order *all* classes of a context with one
-  fused-key sort; the batched count and ``g3`` kernels then run their
-  sequential per-class loops in C, else loop over the single-candidate
-  NumPy kernels; the batched exact OC check sorts and scans every class
-  of every pair in one compiled call, else runs the fused-key sort.
+* the single-candidate removal-set kernels order *all* classes of a
+  context with one fused-key sort; the batched kernels run in C over the
+  context's CSR arrays, gathering ranks through its rows — the AOC count
+  and the exact OC check take every pair in one call (per class: gather,
+  sort, scan), the ``g3`` kernel one call per column — else loop over the
+  single-candidate NumPy kernels (the exact OC check: the fused-key sort).
 
 Parity contract: every method returns the same values, in the same order,
 with the same early-exit points as :class:`PythonBackend`.  One documented
@@ -261,7 +262,9 @@ class NumpyBackend(ComputeBackend):
         :class:`Partition` objects already hold the flat CSR layout, so the
         columnar view is derived from the offset arrays with no per-class
         Python objects; the result is cached on the partition because
-        candidates share contexts heavily during the level-wise search.
+        candidates share contexts heavily during the level-wise search
+        (the compiled kernels read the CSR arrays instead; this view serves
+        the NumPy fallbacks, products and the pool's shard planner).
         Objects exposing a ``columnar_view()`` (e.g. the worker-side
         :class:`~repro.validation.distributed.ClassShard`) hand over their
         pre-flattened arrays directly; raw lists of row lists (kernel inputs
@@ -449,9 +452,25 @@ class NumpyBackend(ComputeBackend):
         rows, offsets = _csr_arrays(classes)
         if rows.size == 0:
             return [True] * len(rank_pairs)
+        addresses, pairs, _columns = self._column_table(rows, rank_pairs)
+        keys = np.empty(rows.size, dtype=np.uint64)
+        out = np.empty(len(rank_pairs), dtype=np.int8)
+        if library.repro_oc_holds_batch(
+            rows.ctypes.data, offsets.ctypes.data, offsets.size - 1,
+            addresses.ctypes.data, pairs.ctypes.data, len(rank_pairs),
+            keys.ctypes.data, out.ctypes.data,
+        ) < 0:
+            raise ValueError("rank columns must be non-negative")
+        return out.view(bool).tolist()
+
+    def _column_table(self, rows: np.ndarray, rank_pairs):
+        """``(addresses, pairs, columns)`` for the compiled pair kernels:
+        pairs share columns, so each is converted and addressed once and
+        the pairs become index pairs into it; ``columns`` keeps the
+        converted arrays alive for the call."""
         last_row = int(rows.max())
         columns: List[np.ndarray] = []
-        slots = {}  # pairs share columns: convert and address each once
+        slots = {}
 
         def slot(ranks) -> int:
             index = slots.get(id(ranks))
@@ -467,15 +486,7 @@ class NumpyBackend(ComputeBackend):
             [(slot(a), slot(b)) for a, b in rank_pairs], dtype=np.int64
         )
         addresses = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
-        keys = np.empty(rows.size, dtype=np.uint64)
-        out = np.empty(len(rank_pairs), dtype=np.int8)
-        if library.repro_oc_holds_batch(
-            rows.ctypes.data, offsets.ctypes.data, offsets.size - 1,
-            addresses.ctypes.data, pairs.ctypes.data, len(rank_pairs),
-            keys.ctypes.data, out.ctypes.data,
-        ) < 0:
-            raise ValueError("rank columns must be non-negative")
-        return out.view(bool).tolist()
+        return addresses, pairs, columns
 
     def ofd_holds_batch(self, classes, rhs_ranks) -> List[bool]:
         """Batched exact OFD checks: one shared context, many RHS columns.
@@ -489,8 +500,8 @@ class NumpyBackend(ComputeBackend):
         if not len(classes):
             return [True] * num_rhs
         # The CSR arrays, not the columnar view: with the compiled kernels
-        # nothing else in exact discovery needs a partition's class ids, so
-        # cached partitions never grow that per-row array.
+        # no discovery kernel needs a partition's class ids, so cached
+        # partitions never grow that per-row array.
         rows, offsets = _csr_arrays(classes)
         lengths = np.diff(offsets)
         if rows.size < 2:
@@ -608,80 +619,93 @@ class NumpyBackend(ComputeBackend):
 
     # -- batched removal kernels ------------------------------------------------
     #
-    # Compiled per-class loops when :mod:`repro.backend.native` is loaded,
-    # else the base-class loop over the kernels above (identical results).
-    # Sorts and gathers stay in NumPy, one candidate at a time.
-
-    def _native_context(self, classes, limit):
-        """``(library, rows, class_ids, lengths, offsets, budget)`` for the
-        compiled kernels, or ``None`` to fall back."""
-        library = native.kernels()
-        if library is None or (limit is not None and limit < 0):
-            return None
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)  # passed by pointer
-        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        budget = -1 if limit is None else int(limit)
-        return library, rows, class_ids, lengths, offsets, budget
+    # Compiled kernels when :mod:`repro.backend.native` is loaded, else the
+    # base-class loop over the kernels above (identical results).  Both read
+    # the context's CSR arrays and gather ranks through the rows in C, so no
+    # class-id array is built or cached on the partition.
 
     def oc_optimal_removal_count_batch(
         self, classes, rank_pairs, limit: Optional[int] = None
     ) -> List[Tuple[int, bool]]:
         """Batched Algorithm 2 counts: one shared context, many rank pairs.
 
-        Per pair a fused-key sort orders every class by ``[A ASC, B ASC]``
-        and the compiled patience loop counts the dirty classes, stopping
-        once the count provably exceeds ``limit`` (pinned to ``limit + 1``).
+        One compiled call covers every pair: per class it sorts the packed
+        ``(A, B)`` keys, skips clean classes and runs the patience loop,
+        stopping once the count provably exceeds ``limit`` (pinned to
+        ``limit + 1``) without gathering or sorting the pair's remaining
+        classes.
         """
-        context = self._native_context(classes, limit)
-        if context is None:
+        library = native.kernels()
+        if library is None or (limit is not None and limit < 0):
             return super().oc_optimal_removal_count_batch(classes, rank_pairs, limit)
-        library, rows, class_ids, lengths, offsets, budget = context
-        tails = np.empty(int(lengths.max(initial=0)), dtype=np.int64)
-        results: List[Tuple[int, bool]] = []
-        for a_ranks, b_ranks in rank_pairs:
-            b_sorted = self._fused_b_sorted(
-                lengths.size, class_ids,
-                self.to_native(a_ranks)[rows].astype(np.int64),
-                self.to_native(b_ranks)[rows].astype(np.int64),
-            )
-            count = library.repro_oc_lnds_count(
-                b_sorted.ctypes.data, offsets.ctypes.data, lengths.size,
-                budget, tails.ctypes.data,
-            )
-            results.append((count, limit is not None and count > limit))
-        return results
+        rows, offsets = _csr_arrays(classes)
+        if rows.size == 0:
+            return [(0, False)] * len(rank_pairs)
+        addresses, pairs, _columns = self._column_table(rows, rank_pairs)
+        longest = int(np.diff(offsets).max())
+        keys = np.empty(2 * longest, dtype=np.uint64)
+        tails = np.empty(longest, dtype=np.int64)
+        out = np.empty(len(rank_pairs), dtype=np.int64)
+        if library.repro_oc_lnds_count_batch(
+            rows.ctypes.data, offsets.ctypes.data, offsets.size - 1,
+            addresses.ctypes.data, pairs.ctypes.data, len(rank_pairs),
+            -1 if limit is None else int(limit),
+            keys.ctypes.data, tails.ctypes.data, out.ctypes.data,
+        ) < 0:
+            raise ValueError("rank columns must be non-negative")
+        return [
+            (count, limit is not None and count > limit) for count in out.tolist()
+        ]
 
     def ofd_removal_batch(
         self, classes, rhs_ranks, limit: Optional[int] = None
     ) -> List[Tuple[List[int], bool]]:
         """Batched ``g3`` kernel: one shared context, many RHS columns.
 
-        Per column the compiled loop keeps each class's most frequent value
-        (first occurrence breaks ties, like ``Counter.most_common``) and
-        returns the reference's exact rows and truncation point.
+        Per column the compiled loop reads the ranks through the rows, keeps
+        each class's most frequent value (first occurrence breaks ties, like
+        ``Counter.most_common``) and returns the reference's exact rows and
+        truncation point.
         """
-        context = self._native_context(classes, limit)
-        if context is None:
+        library = native.kernels()
+        if library is None or (limit is not None and limit < 0):
             return super().ofd_removal_batch(classes, rhs_ranks, limit)
-        library, rows, _, lengths, offsets, budget = context
+        rows, offsets = _csr_arrays(classes)
+        if rows.size == 0:
+            return [([], False) for _ in rhs_ranks]
+        last_row = int(rows.max())
+        budget = -1 if limit is None else int(limit)
         out = np.empty(rows.size, dtype=np.int64)
         freq = np.zeros(0, dtype=np.int64)
         results: List[Tuple[List[int], bool]] = []
         for ranks in rhs_ranks:
-            values = np.ascontiguousarray(self.to_native(ranks)[rows], dtype=np.int32)
-            if values.min(initial=0) < 0:  # the scratch array is indexed by rank
+            column = np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
+            if column.size <= last_row:
+                raise IndexError("a rank column does not cover the context's rows")
+            # The scratch is indexed by rank.  Encoded ranks stay below the
+            # row count + 1 (null included); larger ones (-2) size it to
+            # the column's maximum.
+            if freq.size <= column.size:
+                freq = np.zeros(column.size + 1, dtype=np.int64)
+            written = self._g3_rows(library, column, rows, offsets, budget, freq, out)
+            if written == -2:
+                freq = np.zeros(int(column.max()) + 1, dtype=np.int64)
+                written = self._g3_rows(
+                    library, column, rows, offsets, budget, freq, out
+                )
+            if written < 0:
                 raise ValueError("rank columns must be non-negative")
-            top = int(values.max(initial=0))
-            if top >= freq.size:
-                freq = np.zeros(top + 1, dtype=np.int64)
-            written = library.repro_ofd_g3_rows(
-                values.ctypes.data, rows.ctypes.data, offsets.ctypes.data,
-                lengths.size, budget, freq.ctypes.data, out.ctypes.data,
-            )
             over = limit is not None and written > limit
             results.append((out[:written].tolist(), over))
         return results
+
+    @staticmethod
+    def _g3_rows(library, column, rows, offsets, budget, freq, out) -> int:
+        return library.repro_ofd_g3_rows(
+            column.ctypes.data, rows.ctypes.data, offsets.ctypes.data,
+            offsets.size - 1, budget, freq.ctypes.data, freq.size,
+            out.ctypes.data,
+        )
 
     def ofd_removal_rows(
         self, classes, value_ranks, limit: Optional[int] = None

@@ -83,7 +83,7 @@ long-lived state so repeated runs over the same relation stay warm:
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backend import resolve_backend
 from repro.dataset.partition import PartitionCache
@@ -779,6 +779,18 @@ class DiscoveryEngine:
                 self._active_plane.abandon(pending)
             raise
 
+    def _native_columns(self, names: Iterable[str]) -> Dict[str, object]:
+        """The native rank column of each distinct attribute in ``names``,
+        looked up once: a context batch touches at most |R| columns."""
+        return {name: self.encoded.native_ranks(name) for name in set(names)}
+
+    def _rank_pairs(self, jobs: Sequence[OCJob], todo) -> List[Tuple[object, object]]:
+        """``(A, B)`` native rank columns of a context batch's OC jobs."""
+        columns = self._native_columns(
+            name for i, _ in todo for name in (jobs[i][2], jobs[i][3])
+        )
+        return [(columns[jobs[i][2]], columns[jobs[i][3]]) for i, _ in todo]
+
     def _group_by_context(self, contexts: Sequence[AttributeSet]):
         groups: Dict[AttributeSet, List[int]] = {}
         for index, context in enumerate(contexts):
@@ -802,7 +814,8 @@ class DiscoveryEngine:
                     todo.append((i, key))
             if todo:
                 classes = self._context_classes(context)
-                rhs = [self.encoded.native_ranks(jobs[i][1]) for i, _ in todo]
+                columns = self._native_columns(jobs[i][1] for i, _ in todo)
+                rhs = [columns[jobs[i][1]] for i, _ in todo]
                 with self._tracer.span(
                     "ofd-batch", parent=self._level_span, candidates=len(todo)
                 ), PhaseTimer(self.stats, "ofd_validation_seconds"):
@@ -848,14 +861,7 @@ class DiscoveryEngine:
                 ), PhaseTimer(self.stats, "oc_validation_seconds"):
                     if tag == "exact":
                         batch = self.backend.oc_holds_batch(
-                            classes,
-                            [
-                                (
-                                    self.encoded.native_ranks(jobs[i][2]),
-                                    self.encoded.native_ranks(jobs[i][3]),
-                                )
-                                for i, _ in todo
-                            ],
+                            classes, self._rank_pairs(jobs, todo)
                         )
                         for (i, key), holds in zip(todo, batch):
                             outcomes[i] = (0, holds)
@@ -873,13 +879,7 @@ class DiscoveryEngine:
                         else:
                             batch = self.backend.oc_optimal_removal_count_batch(
                                 classes,
-                                [
-                                    (
-                                        self.encoded.native_ranks(jobs[i][2]),
-                                        self.encoded.native_ranks(jobs[i][3]),
-                                    )
-                                    for i, _ in todo
-                                ],
+                                self._rank_pairs(jobs, todo),
                                 self._kernel_limit,
                             )
                         for (i, key), (count, exceeded) in zip(todo, batch):

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend import get_backend
+from repro.dataset.partition import Partition
+from repro.validation.distributed import ClassShard
 from repro.validation.lnds import lnds_length_quadratic
 
 numpy = pytest.importorskip("numpy")
@@ -243,6 +245,40 @@ def _kernel_instances(draw):
     return classes, pairs, limit
 
 
+@st.composite
+def _sorted_class_instances(draw):
+    """Contexts whose classes fall on both sides of the compiled count
+    kernel's small/large sort cutoff (32 rows), with A and B ranks of 1 to
+    20 bits (one to three radix digits; narrow ones tie heavily)."""
+    sizes = draw(st.lists(st.integers(2, 90), min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = sum(sizes) + draw(st.integers(0, 4))
+    rows = list(range(n))
+    rng.shuffle(rows)
+    classes, i = [], 0
+    for size in sizes:
+        classes.append(sorted(rows[i:i + size]))
+        i += size
+
+    def column():
+        top = 2 ** draw(st.integers(1, 20)) - 1
+        return [rng.randint(0, top) for _ in range(n)]
+
+    pairs = [(column(), column())
+             for _ in range(draw(st.integers(1, 4)))]
+    return classes, pairs
+
+
+def _oracle_count(classes, a, b):
+    """Algorithm 2's count by definition: per class, len − LNDS of B in
+    [A ASC, B ASC] order."""
+    return sum(
+        len(rows) - lnds_length_quadratic(
+            [b[row] for row in sorted(rows, key=lambda r: (a[r], b[r]))])
+        for rows in classes
+    )
+
+
 class TestNativeKernels:
     """The NumPy batch kernels, compiled and fallback, against the python
     reference: exact ``exceeded`` flags, and byte-identical counts/rows
@@ -354,3 +390,91 @@ class TestNativeKernels:
         removed = self._check_ofd(classes, [values], None)
         # class 1 keeps 1 (seen before 2), class 2 keeps 5 (seen before 3)
         assert removed == [([1, 2, 5, 6, 8], False)]
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(instance=_sorted_class_instances())
+    def test_classes_across_the_sort_cutoff(self, native_mode, instance):
+        classes, pairs = instance
+        got = self._check_oc(classes, pairs, None)
+        assert got == [(_oracle_count(classes, a, b), False) for a, b in pairs]
+        for (a, b), (count, _) in zip(pairs, got):
+            for limit in {0, max(count - 1, 0), count}:
+                self._check_oc(classes, [(a, b)], limit)
+        self._check_oc(classes, pairs, 0)
+        self._check_oc(classes, pairs, min(count for count, _ in got))
+
+    def test_heavy_ties_in_a_and_b(self, native_mode):
+        rng = random.Random(29)
+        n = 600
+        classes = [list(range(0, 300)), list(range(300, 340)),
+                   list(range(340, 352)), list(range(352, n))]
+        pairs = [
+            ([rng.randrange(0, 3) for _ in range(n)],
+             [rng.randrange(0, 4) for _ in range(n)]),
+            ([rng.randrange(0, 2) for _ in range(n)],
+             [rng.randrange(0, 300) for _ in range(n)]),
+            ([0] * n, [rng.randrange(0, 50) for _ in range(n)]),
+            ([rng.randrange(0, 1000) for _ in range(n)], [7] * n),
+        ]
+        got = self._check_oc(classes, pairs, None)
+        assert got == [(_oracle_count(classes, a, b), False) for a, b in pairs]
+        assert got[0][0] > 0 and got[1][0] > 0
+        assert got[2] == (0, False) and got[3] == (0, False)
+        for limit in (0, got[0][0] - 1, got[0][0]):
+            self._check_oc(classes, pairs, limit)
+
+    def test_only_the_last_class_is_dirty(self, native_mode):
+        classes = [list(range(i, i + 40)) for i in range(0, 160, 40)]
+        a = list(range(160))
+        clean = list(range(160))
+        dirty = clean[:120] + clean[120:][::-1]
+        got = self._check_oc(classes, [(a, clean), (a, dirty), (a, clean)], None)
+        assert got == [(0, False), (39, False), (0, False)]
+        self._check_oc(classes, [(a, dirty)], 38)
+
+    def test_shard_and_list_inputs(self, native_mode):
+        rng = random.Random(5)
+        n = 300
+        classes = [list(range(i, i + size))
+                   for i, size in zip(range(0, n, 75), (2, 33, 70, 9))]
+        pairs = [([rng.randrange(0, 40) for _ in range(n)],
+                  [rng.randrange(0, 700) for _ in range(n)]) for _ in range(3)]
+        nq = get_backend("numpy")
+        expected = self._check_oc(classes, pairs, None)
+        native_pairs = _native_pairs(nq, pairs)
+        for container in (
+            ClassShard.pack(classes, as_arrays=True),
+            ClassShard.pack(classes, as_arrays=False),
+            Partition(classes, n),
+            [tuple(rows) for rows in classes],
+        ):
+            assert nq.oc_optimal_removal_count_batch(
+                container, native_pairs, None) == expected
+            assert nq.ofd_removal_batch(
+                container, [b for _, b in native_pairs], None
+            ) == self._check_ofd(classes, [b for _, b in pairs], None)
+
+    def test_rejects_bad_columns(self, native_mode):
+        nq = get_backend("numpy")
+        short = nq.to_native([0, 1])
+        with pytest.raises(IndexError):
+            nq.oc_optimal_removal_count_batch([[0, 2]], [(short, short)], None)
+        with pytest.raises(IndexError):
+            nq.ofd_removal_batch([[0, 2]], [short], None)
+        if native_mode == "native":  # the NumPy fallback orders negative ranks
+            negative = nq.to_native([0, -1])
+            with pytest.raises(ValueError):
+                nq.oc_optimal_removal_count_batch([[0, 1]], [(negative, short)], 3)
+            with pytest.raises(ValueError):
+                nq.oc_optimal_removal_count_batch([[0, 1]], [(short, negative)], None)
+            with pytest.raises(ValueError):
+                nq.ofd_removal_batch([[0, 1]], [negative], None)
+
+    def test_ofd_ranks_beyond_the_row_count(self, native_mode):
+        classes = [[0, 1, 2], [3, 4]]
+        self._check_ofd(classes, [[900, 7, 900, 5000, 5000]], None)
+        self._check_ofd(classes, [[1, 2, 2, 0, 1], [70, 70, 3, 9, 9]], 0)
